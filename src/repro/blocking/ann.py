@@ -14,9 +14,9 @@ two pure-numpy backends:
   vectorized (argsort + searchsorted range joins), so candidate
   generation never walks the cross product.
 * **small-world graph** — a navigable-small-world index
-  (:class:`SmallWorldGraph`, HNSW-style greedy beam search over the
-  masked cosine kernel) giving the ``query(record, k)`` access shape the
-  future ``repro.serve`` item needs; :class:`GraphIndex` wraps it with
+  (:class:`SmallWorldGraph`, HNSW-style greedy beam search scoring
+  cosine over packed id bitsets) giving the ``search(record, k)``
+  access shape ``repro.serve`` uses; :class:`GraphIndex` wraps it with
   the record encoding so external records can be queried directly.
 
 Both backends are **bit-deterministic for a fixed seed**: the hash
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -62,15 +61,6 @@ from repro.text.kernels import CodeTable, band_keys, minhash_signatures
 ANN_BACKENDS: tuple[str, ...] = ("lsh", "graph")
 
 _EMPTY_INDEX = np.empty(0, dtype=np.int64)
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """One DeprecationWarning per call site (the PR-3 ``render`` idiom)."""
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass(frozen=True)
@@ -246,6 +236,25 @@ def _lsh_candidate_indexes(
     return kept // n_right, kept % n_right, run_lengths[hits], examined, skipped
 
 
+def _set_bits(words: np.ndarray, ids: np.ndarray) -> None:
+    """OR the bits of dense *ids* into the uint64 bitset *words* in place."""
+    np.bitwise_or.at(
+        words, ids >> 6, np.uint64(1) << (ids & 63).astype(np.uint64)
+    )
+
+
+def _grown_rows(array: np.ndarray, capacity: int, live: int) -> np.ndarray:
+    """A zeroed *capacity*-row copy of *array*, keeping its *live* rows."""
+    grown = np.zeros((capacity,) + array.shape[1:], dtype=array.dtype)
+    grown[:live] = array[:live]
+    return grown
+
+
+def _with_slack(needed: int) -> int:
+    """A capacity of at least *needed* with ~25% geometric headroom."""
+    return needed + needed // 4 + 1
+
+
 class SmallWorldGraph:
     """A navigable-small-world index over dense sorted id rows.
 
@@ -257,10 +266,23 @@ class SmallWorldGraph:
     and therefore every query — is deterministic. Empty rows are
     unreachable islands (they can never score above zero).
 
+    Rows are id *sets* (sorted, duplicate-free) and are stored once, as
+    packed uint64 bitsets over the dense ids (one bitset row per node,
+    both dimensions grown with geometric slack). A search packs its
+    query into one probe bitset and scores each frontier with a single
+    ``bits[nodes] & probe`` popcount pass, so scoring stays O(visited
+    nodes). Each node carries the similarities of its neighbour list:
+    cosine is symmetric bit-for-bit (``inter / sqrt(float(a) * b)`` ==
+    ``inter / sqrt(float(b) * a)``), so the similarity the insert search
+    computed for an edge is exactly the one degree pruning ranks by, and
+    pruning never re-scores.
+
     The structure is inherently incremental — building *is* inserting
     node by node — so :meth:`add_row` appends a new node in the same
     O(beam) work as one build step; a graph grown by appends is
     bit-identical to one built from the concatenated row list.
+    ``sim_evals`` counts the nodes scored by searches (insert searches
+    included).
     """
 
     def __init__(
@@ -273,50 +295,76 @@ class SmallWorldGraph:
         self.max_degree = max_degree
         self.beam_width = beam_width
         self.n_entry_points = n_entry_points
-        self._rows: list[np.ndarray] = []
-        self._sizes = np.empty(0, dtype=np.int64)
+        self._count = 0
+        self._bits = np.zeros((0, 0), dtype=np.uint64)
+        self._sizes = np.zeros(0, dtype=np.float64)
         self._neighbors: list[list[int]] = []
+        # Row i: the similarity of each of ``_neighbors[i]``, in order
+        # (one spare column holds the edge that overflows before pruning).
+        self._neighbor_sims = np.zeros((0, max_degree + 1), dtype=np.float64)
         self._entry: int | None = None
         self.sim_evals = 0
+        self.add_rows(rows)
+
+    def add_rows(self, rows: Sequence[np.ndarray]) -> None:
+        """Append dense sorted id rows in order, reserving storage once."""
+        rows = [np.asarray(row, dtype=np.int64) for row in rows]
+        top = max((int(row.max()) for row in rows if len(row)), default=-1)
+        self._reserve(self._count + len(rows), top // 64 + 1)
         for row in rows:
             self.add_row(row)
 
     def add_row(self, row: np.ndarray) -> int:
         """Append one dense sorted id row as a new node; returns its id."""
-        node = len(self._rows)
-        self._rows.append(row)
-        self._sizes = np.append(self._sizes, len(row))
+        node = self._count
+        row = np.asarray(row, dtype=np.int64)
+        self._reserve(node + 1, int(row.max()) // 64 + 1 if len(row) else 0)
+        _set_bits(self._bits[node], row)
+        # The cosine norm size; an empty row's zero intersection scores
+        # 0.0 against any norm, so it holds 1 and the scorer needs no mask.
+        self._sizes[node] = max(len(row), 1)
+        self._count += 1
         self._neighbors.append([])
-        self._insert(node)
+        if len(row):
+            self._insert(node)
         return node
 
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def _sims_to(
-        self, query: np.ndarray, query_size: int, nodes: list[int]
-    ) -> np.ndarray:
-        """Cosine of *query* against each node, in one batched pass."""
-        out = np.zeros(len(nodes), dtype=np.float64)
-        if not nodes or query_size == 0 or len(query) == 0:
-            return out
-        self.sim_evals += len(nodes)
-        sizes = self._sizes[nodes]
-        flat = (
-            np.concatenate([self._rows[node] for node in nodes])
-            if int(sizes.sum())
-            else _EMPTY_INDEX
+    def _reserve(self, rows: int, words: int) -> None:
+        """Grow the bitset arena, with slack, to *rows* x *words*."""
+        capacity, width = self._bits.shape
+        if rows <= capacity and words <= width:
+            return
+        grown = np.zeros(
+            (
+                _with_slack(rows) if rows > capacity else capacity,
+                _with_slack(words) if words > width else width,
+            ),
+            dtype=np.uint64,
         )
-        if len(flat) == 0:
-            return out
-        positions = np.searchsorted(query, flat)
-        positions[positions == len(query)] = 0
-        matched = query[positions] == flat
-        row_of = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
-        inter = np.bincount(row_of[matched], minlength=len(nodes))
-        mask = sizes > 0
-        out[mask] = inter[mask] / np.sqrt(float(query_size) * sizes[mask])
-        return out
+        grown[: self._count, :width] = self._bits[: self._count]
+        self._bits = grown
+        self._sizes = _grown_rows(self._sizes, len(grown), self._count)
+        self._neighbor_sims = _grown_rows(
+            self._neighbor_sims, len(grown), self._count
+        )
+
+    def __len__(self) -> int:
+        return self._count
+
+    def _scores(
+        self, probe: np.ndarray, query_size: float, nodes: list[int]
+    ) -> list[float]:
+        """Cosine of the *probe* bitset against each node, in one pass.
+
+        Bit-identical to ``inter / np.sqrt(float(query_size) * size)``
+        over integer sizes: every operand below ``2**53`` converts exactly.
+        """
+        self.sim_evals += len(nodes)
+        index = np.array(nodes)
+        inter = np.bitwise_count(self._bits.take(index, axis=0) & probe).sum(
+            axis=1
+        )
+        return (inter / np.sqrt(query_size * self._sizes.take(index))).tolist()
 
     def _entry_points(self) -> list[int]:
         """Deterministic multi-entry seeds: the entry plus strided probes.
@@ -332,7 +380,7 @@ class SmallWorldGraph:
         """
         if self._entry is None:
             return []
-        count = len(self._rows)
+        count = self._count
         seeds = {self._entry}
         for probe in range(self.n_entry_points):
             seeds.add((probe * count) // self.n_entry_points)
@@ -340,77 +388,73 @@ class SmallWorldGraph:
         return sorted(seeds)
 
     def _search(
-        self, query: np.ndarray, query_size: int, beam: int
+        self, probe: np.ndarray, query_size: float, beam: int
     ) -> list[tuple[float, int]]:
         """Greedy beam search: ``[(similarity, node), ...]`` best first."""
         entries = self._entry_points()
         if not entries:
             return []
-        entry_sims = self._sims_to(query, query_size, entries)
+        entry_sims = self._scores(probe, query_size, entries)
         visited = set(entries)
         # Max-heap of frontier nodes by (-sim, node); min-heap of the
         # best `beam` results by (sim, -node) — both orders break ties
         # by node id, deterministically.
-        frontier = [
-            (-sim, entry) for entry, sim in zip(entries, entry_sims.tolist())
-        ]
+        frontier = [(-sim, entry) for entry, sim in zip(entries, entry_sims)]
         heapq.heapify(frontier)
-        results = [
-            (sim, -entry) for entry, sim in zip(entries, entry_sims.tolist())
-        ]
+        results = [(sim, -entry) for entry, sim in zip(entries, entry_sims)]
         heapq.heapify(results)
         while len(results) > beam:
             heapq.heappop(results)
+        neighbors = self._neighbors
         while frontier:
             negative_sim, node = heapq.heappop(frontier)
             if len(results) >= beam and -negative_sim < results[0][0]:
                 break
             fresh = [
                 neighbor
-                for neighbor in self._neighbors[node]
+                for neighbor in neighbors[node]
                 if neighbor not in visited
             ]
             if not fresh:
                 continue
             visited.update(fresh)
-            sims = self._sims_to(query, query_size, fresh)
-            for neighbor, sim in zip(fresh, sims.tolist()):
-                if len(results) < beam or sim > results[0][0]:
-                    heapq.heappush(frontier, (-sim, neighbor))
+            sims = self._scores(probe, query_size, fresh)
+            for neighbor, sim in zip(fresh, sims):
+                if len(results) < beam:
                     heapq.heappush(results, (sim, -neighbor))
-                    if len(results) > beam:
-                        heapq.heappop(results)
+                elif sim > results[0][0]:
+                    heapq.heapreplace(results, (sim, -neighbor))
+                else:
+                    continue
+                heapq.heappush(frontier, (-sim, neighbor))
         found = [(sim, -negative_node) for sim, negative_node in results]
         found.sort(key=lambda item: (-item[0], item[1]))
         return found
 
     def _insert(self, node: int) -> None:
-        row = self._rows[node]
-        if len(row) == 0:
-            return
         if self._entry is None:
             self._entry = node
             return
         beam = max(self.beam_width, self.max_degree)
-        for __, other in self._search(row, len(row), beam)[: self.max_degree]:
-            self._connect(node, other)
+        found = self._search(self._bits[node], float(self._sizes[node]), beam)
+        for sim, other in found[: self.max_degree]:
+            self._connect(node, other, sim)
 
-    def _connect(self, node: int, other: int) -> None:
+    def _connect(self, node: int, other: int, sim: float) -> None:
         for source, target in ((node, other), (other, node)):
             neighbors = self._neighbors[source]
             if target in neighbors:
                 continue
+            sims = self._neighbor_sims[source]
+            sims[len(neighbors)] = sim
             neighbors.append(target)
             if len(neighbors) > self.max_degree:
-                row = self._rows[source]
-                sims = self._sims_to(row, len(row), neighbors)
-                order = sorted(
-                    range(len(neighbors)),
-                    key=lambda i: (-sims[i], neighbors[i]),
-                )
-                self._neighbors[source] = [
-                    neighbors[i] for i in order[: self.max_degree]
-                ]
+                # Keep the most similar by (-similarity, id), ranked from
+                # the carried values.
+                kept = sorted(zip((-sims).tolist(), neighbors))
+                del kept[self.max_degree :]
+                self._neighbors[source] = [target for __, target in kept]
+                sims[: self.max_degree] = [-value for value, __ in kept]
 
     def search(
         self, query: np.ndarray, query_size: int, k: int
@@ -419,16 +463,19 @@ class SmallWorldGraph:
 
         Best first, ties broken by node id. Nodes with zero similarity
         are never returned — an unreachable record should not become a
-        candidate just because the beam visited it.
+        candidate just because the beam visited it. *query* holds dense
+        ids; ids past the bitset width cannot intersect any node and
+        only count through *query_size*.
         """
-        found = self._search(query, query_size, max(self.beam_width, k))
+        if len(query) == 0 or query_size == 0:
+            return []
+        query = np.asarray(query, dtype=np.int64)
+        probe = np.zeros(self._bits.shape[1], dtype=np.uint64)
+        _set_bits(probe, query[query < 64 * len(probe)])
+        found = self._search(
+            probe, float(query_size), max(self.beam_width, k)
+        )
         return [(sim, node) for sim, node in found[:k] if sim > 0.0]
-
-    def query(
-        self, query: np.ndarray, query_size: int, k: int
-    ) -> list[int]:
-        """The nodes of :meth:`search`, without their scores."""
-        return [node for __, node in self.search(query, query_size, k)]
 
 
 class GraphIndex:
@@ -477,13 +524,14 @@ class GraphIndex:
 
     def _append(self, records: Sequence, rows: Sequence[np.ndarray]) -> None:
         self.records.extend(records)
-        for row in rows:
-            dense = (
+        self.graph.add_rows(
+            [
                 np.unique(self._table.intern(row))
                 if len(row)
                 else _EMPTY_INDEX
-            )
-            self.graph.add_row(dense)
+                for row in rows
+            ]
+        )
 
     def insert(self, records: Sequence) -> None:
         """Append *records* to the live index — incremental, no rebuild."""
@@ -511,10 +559,6 @@ class GraphIndex:
         probe, query_size = self.map_row(raw_row)
         return self.graph.search(probe, query_size, k)
 
-    def query_row(self, raw_row: np.ndarray, k: int) -> list[int]:
-        """Positions (into ``records``) of the ``<= k`` nearest records."""
-        return [position for __, position in self.search_row(raw_row, k)]
-
     def search(self, record, k: int) -> Candidates:
         """The ``<= k`` most similar record ids, scored, best first."""
         raw_row = self._store.rows([record], self._view)[0]
@@ -526,15 +570,6 @@ class GraphIndex:
             scores=tuple(sim for sim, __ in scored),
             provenance=self.config.describe(),
         )
-
-    def query(self, record, k: int) -> list:
-        """Deprecated shim for :meth:`search`: bare record objects."""
-        _warn_deprecated("GraphIndex.query", "GraphIndex.search")
-        raw_row = self._store.rows([record], self._view)[0]
-        return [
-            self.records[position]
-            for __, position in self.search_row(raw_row, k)
-        ]
 
 
 class LshIndex:
@@ -634,10 +669,6 @@ class LshIndex:
         scored.sort(key=lambda item: (-item[0], item[1]))
         return scored[:k]
 
-    def query_row(self, raw_row: np.ndarray, k: int) -> list[int]:
-        """Positions (into ``records``) of the ``<= k`` best collisions."""
-        return [position for __, position in self.search_row(raw_row, k)]
-
     def search(self, record, k: int) -> Candidates:
         """The ``<= k`` best-colliding record ids, scored, best first."""
         raw_row = self._store.rows([record], self._view)[0]
@@ -663,20 +694,6 @@ class AnnBlocker:
 
     def __init__(self, config: AnnConfig | None = None) -> None:
         self.config = config if config is not None else AnnConfig()
-
-    def build_index(self, sources: SourcePair) -> GraphIndex:
-        """Deprecated shim: build the index with ``make_index`` instead."""
-        _warn_deprecated(
-            "AnnBlocker.build_index", "repro.blocking.make_index"
-        )
-        encoded = _EncodedSources(sources, self.config.q)
-        return GraphIndex(
-            encoded.right_records,
-            encoded.right_rows,
-            self.config,
-            store=encoded.store,
-            view=encoded.view,
-        )
 
     def _lsh_scored(
         self, encoded: _EncodedSources

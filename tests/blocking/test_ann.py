@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking import (
     AnnBlocker,
     AnnConfig,
     QGramBlocker,
+    SmallWorldGraph,
     evaluate_blocking,
     make_index,
     provenance_sweep,
@@ -16,8 +21,11 @@ from repro.blocking import (
 )
 from repro.data.records import RecordStore, Schema
 from repro.datasets.generator import SourcePair
+from repro.datasets.registry import load_source_pair
+from repro.text.feature_store import FeatureStore
 from repro.text.kernels import (
     EMPTY_SIGNATURE,
+    CodeTable,
     band_keys,
     minhash_params,
     minhash_signatures,
@@ -242,14 +250,10 @@ class TestAnnBlockerGraph:
             assert o.metrics.counter("blocking.ann.index_builds") == 1.0
             assert o.metrics.counter("blocking.ann.index_inserts") == 40.0
 
-    def test_deprecated_build_index_still_works(self, small_sources):
-        blocker = AnnBlocker(AnnConfig(backend="graph"))
-        with pytest.warns(DeprecationWarning, match="build_index"):
-            index = blocker.build_index(small_sources)
+    def test_make_index_search_finds_indexed_record(self, small_sources):
+        index = make_index("graph", small_sources.right.records())
         record = next(iter(small_sources.right))
-        with pytest.warns(DeprecationWarning, match="GraphIndex.query"):
-            hits = index.query(record, 3)
-        assert record.record_id in {hit.record_id for hit in hits}
+        assert record.record_id in index.search(record, 3).ids
 
 
 class TestTuneAnn:
@@ -327,3 +331,250 @@ class TestProvenanceSweep:
             QGramBlocker(q=3).candidates(small_sources), small_sources
         )
         assert sweep["exhaustive"].result.n_candidates == baseline.n_candidates
+
+
+class _OracleGraph:
+    """The reference small-world graph: the original per-node scorer.
+
+    Rows are kept as sorted id arrays and scored by ``searchsorted``
+    membership + ``bincount`` per beam step; degree pruning re-scores
+    the whole neighbour list. Insertion order, beam search, entry points,
+    tie-breaks and pruning rule are those :class:`SmallWorldGraph` must
+    reproduce bit for bit. ``search_evals`` counts the nodes scored by
+    searches (inserts included), not by pruning.
+    """
+
+    def __init__(self, rows, max_degree, beam_width, n_entry_points=8):
+        self.max_degree = max_degree
+        self.beam_width = beam_width
+        self.n_entry_points = n_entry_points
+        self.rows = []
+        self.sizes = np.empty(0, dtype=np.int64)
+        self.neighbors = []
+        self.entry = None
+        self.search_evals = 0
+        for row in rows:
+            node = len(self.rows)
+            self.rows.append(row)
+            self.sizes = np.append(self.sizes, len(row))
+            self.neighbors.append([])
+            self._insert(node)
+
+    def _sims_to(self, query, query_size, nodes, searching=True):
+        out = np.zeros(len(nodes), dtype=np.float64)
+        if not nodes or query_size == 0 or len(query) == 0:
+            return out
+        if searching:
+            self.search_evals += len(nodes)
+        sizes = self.sizes[nodes]
+        if int(sizes.sum()) == 0:
+            return out
+        flat = np.concatenate([self.rows[node] for node in nodes])
+        positions = np.searchsorted(query, flat)
+        positions[positions == len(query)] = 0
+        matched = query[positions] == flat
+        row_of = np.repeat(np.arange(len(nodes), dtype=np.int64), sizes)
+        inter = np.bincount(row_of[matched], minlength=len(nodes))
+        mask = sizes > 0
+        out[mask] = inter[mask] / np.sqrt(float(query_size) * sizes[mask])
+        return out
+
+    def _search(self, query, query_size, beam):
+        if self.entry is None:
+            return []
+        count = len(self.rows)
+        seeds = {self.entry, count - 1}
+        for probe in range(self.n_entry_points):
+            seeds.add((probe * count) // self.n_entry_points)
+        entries = sorted(seeds)
+        entry_sims = self._sims_to(query, query_size, entries).tolist()
+        visited = set(entries)
+        frontier = [(-sim, entry) for entry, sim in zip(entries, entry_sims)]
+        heapq.heapify(frontier)
+        results = [(sim, -entry) for entry, sim in zip(entries, entry_sims)]
+        heapq.heapify(results)
+        while len(results) > beam:
+            heapq.heappop(results)
+        while frontier:
+            negative_sim, node = heapq.heappop(frontier)
+            if len(results) >= beam and -negative_sim < results[0][0]:
+                break
+            fresh = [n for n in self.neighbors[node] if n not in visited]
+            if not fresh:
+                continue
+            visited.update(fresh)
+            sims = self._sims_to(query, query_size, fresh)
+            for neighbor, sim in zip(fresh, sims.tolist()):
+                if len(results) < beam or sim > results[0][0]:
+                    heapq.heappush(frontier, (-sim, neighbor))
+                    heapq.heappush(results, (sim, -neighbor))
+                    if len(results) > beam:
+                        heapq.heappop(results)
+        found = [(sim, -negative_node) for sim, negative_node in results]
+        found.sort(key=lambda item: (-item[0], item[1]))
+        return found
+
+    def _insert(self, node):
+        row = self.rows[node]
+        if len(row) == 0:
+            return
+        if self.entry is None:
+            self.entry = node
+            return
+        beam = max(self.beam_width, self.max_degree)
+        for __, other in self._search(row, len(row), beam)[: self.max_degree]:
+            for source, target in ((node, other), (other, node)):
+                neighbors = self.neighbors[source]
+                if target in neighbors:
+                    continue
+                neighbors.append(target)
+                if len(neighbors) > self.max_degree:
+                    source_row = self.rows[source]
+                    sims = self._sims_to(
+                        source_row, len(source_row), neighbors,
+                        searching=False,
+                    )
+                    order = sorted(
+                        range(len(neighbors)),
+                        key=lambda i: (-sims[i], neighbors[i]),
+                    )
+                    self.neighbors[source] = [
+                        neighbors[i] for i in order[: self.max_degree]
+                    ]
+
+    def search(self, query, query_size, k):
+        found = self._search(query, query_size, max(self.beam_width, k))
+        return [(sim, node) for sim, node in found[:k] if sim > 0.0]
+
+    def exhaustive(self, query, query_size, k):
+        """The exact top-*k* cosine over every node, ties by node id."""
+        sims = self._sims_to(
+            query, query_size, list(range(len(self.rows))), searching=False
+        ).tolist()
+        order = sorted(range(len(sims)), key=lambda i: (-sims[i], i))
+        return [(sims[i], i) for i in order[:k] if sims[i] > 0.0]
+
+
+def _dense_rows(records):
+    """The dense q-gram id sets a fresh graph index assigns *records*."""
+    table = CodeTable()
+    return [
+        np.unique(table.intern(row)) if len(row) else np.empty(0, np.int64)
+        for row in FeatureStore().rows(records, ("qgrams", None, 3))
+    ]
+
+
+def _oracle_for(index, records):
+    config = index.config
+    return _OracleGraph(
+        _dense_rows(records), config.max_degree, config.beam_width
+    )
+
+
+def _probes(index, records):
+    """``(dense probe, query size)`` of each record, as the index maps it."""
+    raw_rows = index._store.rows(list(records), index._view)
+    return [index.map_row(raw) for raw in raw_rows]
+
+
+def _assert_same_graph(graph, oracle, probes, k):
+    assert graph._neighbors == oracle.neighbors
+    assert graph._entry == oracle.entry
+    assert graph.sim_evals == oracle.search_evals
+    for query, query_size in probes:
+        assert graph.search(query, query_size, k) == oracle.search(
+            query, query_size, k
+        )
+    assert graph.sim_evals == oracle.search_evals
+
+
+class TestGraphOracle:
+    """The bitset graph is bit-identical to the reference scorer."""
+
+    def test_small_sources(self, small_sources):
+        records = small_sources.right.records()
+        index = make_index("graph", records)
+        oracle = _oracle_for(index, records)
+        probes = _probes(index, small_sources.left.records())
+        _assert_same_graph(index.graph, oracle, probes, index.config.k)
+
+    def test_grown_by_insert_matches_bulk_build(self, small_sources):
+        records = small_sources.right.records()
+        grown = make_index("graph", records[:40])
+        grown.insert(records[40:90])
+        for record in records[90:]:
+            grown.insert([record])
+        bulk = make_index("graph", records)
+        oracle = _oracle_for(bulk, records)
+        probes = _probes(bulk, small_sources.left.records()[:30])
+        assert grown.graph._neighbors == bulk.graph._neighbors
+        _assert_same_graph(grown.graph, oracle, probes, 5)
+        _assert_same_graph(bulk.graph, _oracle_for(bulk, records), probes, 5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.frozensets(st.integers(0, 300), max_size=20), max_size=40
+        ),
+        queries=st.lists(
+            st.frozensets(st.integers(0, 400), max_size=20),
+            min_size=1,
+            max_size=5,
+        ),
+        max_degree=st.integers(1, 6),
+        beam_width=st.integers(1, 8),
+        k=st.integers(1, 6),
+    )
+    def test_random_rows(self, rows, queries, max_degree, beam_width, k):
+        # Ids up to 300 span five 64-bit words, so rows arriving one by
+        # one grow the bitset width mid-build; query ids past every row
+        # (up to 400) fall outside it and only count toward the size.
+        rows = [np.array(sorted(row), dtype=np.int64) for row in rows]
+        oracle = _OracleGraph(rows, max_degree, beam_width)
+        grown = SmallWorldGraph((), max_degree, beam_width)
+        for row in rows:
+            grown.add_row(row)
+        probes = [
+            (np.array(sorted(query), dtype=np.int64), len(query))
+            for query in queries
+        ]
+        _assert_same_graph(grown, oracle, probes, k)
+        _assert_same_graph(
+            SmallWorldGraph(rows, max_degree, beam_width),
+            _OracleGraph(rows, max_degree, beam_width),
+            probes,
+            k,
+        )
+
+
+class TestGraphRecall:
+    def test_abt_buy_topk_against_exhaustive(self):
+        # Defaults (deg=16, beam=32, k=10) against the exact top-10
+        # cosine over every indexed record: the figures DESIGN.md §10
+        # states for abt_buy.
+        sources = load_source_pair("abt_buy")
+        records = sources.right.records()
+        index = make_index("graph", records)
+        oracle = _oracle_for(index, records)
+        k = index.config.k
+        found = 0
+        relevant = 0
+        graph_pairs = set()
+        exact_pairs = set()
+        probes = sources.left.records()
+        for probe, (query, size) in zip(probes, _probes(index, probes)):
+            graph = {node for __, node in index.graph.search(query, size, k)}
+            exact = {node for __, node in oracle.exhaustive(query, size, k)}
+            found += len(graph & exact)
+            relevant += len(exact)
+            for nodes, pairs in ((graph, graph_pairs), (exact, exact_pairs)):
+                pairs.update(
+                    (probe.record_id, records[node].record_id)
+                    for node in nodes
+                )
+        recall = found / relevant
+        graph_pc = evaluate_blocking(graph_pairs, sources).pair_completeness
+        exact_pc = evaluate_blocking(exact_pairs, sources).pair_completeness
+        assert round(recall, 3) == 0.889
+        assert round(graph_pc, 3) == 0.726
+        assert round(exact_pc, 3) == 0.852
